@@ -54,12 +54,9 @@
 // client connections the node keeps per peer, -batch-window makes
 // the refresh loop coalesce publishes headed for the same ring owner
 // into publish-batch frames flushed at that interval (0 keeps the
-// one-store-per-owner behavior), and -codec caps the wire codec the
-// node negotiates: "binary" (default) upgrades each connection to
-// compact length-prefixed frames when the peer echoes the
-// advertisement, "json" pins the node to the pre-binary
-// newline-delimited format. Live connections per negotiated version
-// show up in /metrics as wire_codec{version}.
+// one-store-per-owner behavior). The wire speaks one format, versioned
+// length-prefixed binary frames; a peer sending anything else is cut
+// off and the reason logged.
 //
 // Output is logfmt (log/slog): one line per event, machine-parseable
 // key=value pairs. -v enables debug-level lines.
@@ -214,7 +211,6 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 2, "ring owners each record is stored on")
 		retries   = fs.Int("retries", 3, "attempts per wire call (capped exponential backoff between them)")
 		poolSize  = fs.Int("pool-size", 2, "pooled client connections kept per peer")
-		codecName = fs.String("codec", "binary", "highest wire codec to negotiate: binary (compact frames, auto-upgrades per connection) or json (pre-binary peer emulation)")
 		batchWin  = fs.Duration("batch-window", 0, "coalesce refresh publishes to the same owner within this window (0 disables batching)")
 		drainTO   = fs.Duration("drain-timeout", 2*time.Second, "graceful-drain budget on SIGINT/SIGTERM: withdraw soft-state before closing (0 disables)")
 		joinRetry = fs.Duration("join-retry", 0, "retry a failed initial publish at this interval instead of exiting (0 = fail hard); the node reports not-ready on /readyz until joined")
@@ -229,17 +225,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	logger := newLogger(out, *verbose)
-	var maxCodec uint8
-	switch *codecName {
-	case "binary":
-		maxCodec = wire.CodecBinary
-	case "json":
-		maxCodec = wire.CodecJSON
-	default:
-		return fmt.Errorf("unknown -codec %q (want binary or json)", *codecName)
-	}
 	if *demo > 0 {
-		return runDemo(*demo, *ttl, *timeout, *metrics, *hold, maxCodec, logger)
+		return runDemo(*demo, *ttl, *timeout, *metrics, *hold, logger)
 	}
 	if *lmCSV == "" {
 		return fmt.Errorf("need -landmarks")
@@ -269,7 +256,6 @@ func run(args []string, out io.Writer) error {
 		wire.WithReplication(*replicas),
 		wire.WithRetryPolicy(pol),
 		wire.WithPoolSize(*poolSize),
-		wire.WithMaxCodec(maxCodec),
 		wire.WithBatchWindow(*batchWin),
 		wire.WithTracing(col),
 		wire.WithLogger(logger))
@@ -449,7 +435,7 @@ func run(args []string, out io.Writer) error {
 // fewer, double as landmarks), publishes everyone's record, and asks each
 // node for its nearest peer — the whole zero-to-aha flow in one command.
 // All nodes share one telemetry registry, served on metricsAddr when set.
-func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Duration, maxCodec uint8, logger *slog.Logger) error {
+func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Duration, logger *slog.Logger) error {
 	if n < 2 {
 		return fmt.Errorf("demo needs at least 2 nodes, got %d", n)
 	}
@@ -484,9 +470,7 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 	reg := obs.NewRegistry()
 	nodes := make([]*wire.Node, n)
 	for i := range nodes {
-		node, err := wire.NewNodeWithRegistry(addrs[i], cfg, addrs, ttl, reg,
-			wire.WithMaxCodec(maxCodec),
-			wire.WithLogger(logger))
+		node, err := wire.NewNodeWithRegistry(addrs[i], cfg, addrs, ttl, reg, wire.WithLogger(logger))
 		if err != nil {
 			return err
 		}

@@ -66,6 +66,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Profiling starts before any mode branches off, so every mode —
+	// experiments, -wire-bench and -scale-bench alike — honours it.
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *wireBench != "" {
 		if err := runWireBench(*wireBench, out); err != nil {
@@ -97,17 +110,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	engine.SetWorkers(*jobs)
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	var sc experiment.Scale
 	switch *scale {

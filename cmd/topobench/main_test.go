@@ -121,3 +121,23 @@ func TestTelemetrySummary(t *testing.T) {
 		t.Fatalf("second run reports cumulative probes (%d after %d)", probes2, probes)
 	}
 }
+
+// TestScaleBenchHonoursCPUProfile: the benchmark modes branch off before
+// the experiment path, and the CPU profile must cover them too.
+func TestScaleBenchHonoursCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.pprof")
+	var buf bytes.Buffer
+	args := []string{"-scale-bench", filepath.Join(dir, "scale.json"), "-scale-n", "64", "-cpuprofile", prof}
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatalf("no profile written: %v", err)
+	}
+	// pprof writes gzip-compressed protobuf.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and not gzip-framed", len(data))
+	}
+}

@@ -71,11 +71,9 @@ func runWireBench(path string, out io.Writer) error {
 	}
 
 	// poolCounters reads the client transport's cumulative dial/reuse
-	// meters; benchmarks diff them around the timed loop. counterSource
-	// is swapped when a benchmark drives a different client node.
-	counterSource := client
+	// meters; benchmarks diff them around the timed loop.
 	poolCounters := func() (dials, reuse float64) {
-		snap := counterSource.Registry().Snapshot()
+		snap := client.Registry().Snapshot()
 		dials, _ = snap.Value("wire_conn_dials_total")
 		reuse, _ = snap.Value("wire_conn_reuse_total")
 		return dials, reuse
@@ -153,28 +151,6 @@ func runWireBench(path string, out io.Writer) error {
 	})
 	record("publish-batch-64", true, func() error {
 		resp, err := tr.RoundTrip(addr, wire.Message{Type: wire.MsgPublishBatch, Records: batch}, time.Second)
-		if err != nil {
-			return err
-		}
-		if resp.Type != wire.MsgBatchAck {
-			return fmt.Errorf("unexpected response %q", resp.Type)
-		}
-		return nil
-	})
-	// The same batch through a JSON-pinned client: the pre-binary wire
-	// format, kept as the codec comparison baseline. The client never
-	// advertises, so the server answers JSON and both directions ride the
-	// old newline-delimited frames.
-	jsonClient, err := wire.NewNode("127.0.0.1:0", wireBenchCfg(), nil, time.Minute,
-		wire.WithMaxCodec(wire.CodecJSON))
-	if err != nil {
-		return err
-	}
-	defer jsonClient.Close()
-	jtr := jsonClient.Transport()
-	counterSource = jsonClient
-	record("publish-batch-64-json", true, func() error {
-		resp, err := jtr.RoundTrip(addr, wire.Message{Type: wire.MsgPublishBatch, Records: batch}, time.Second)
 		if err != nil {
 			return err
 		}

@@ -227,6 +227,7 @@ func RunExtScale(sc Scale) ([]*Table, error) {
 		Title:   "Figures 3-6 trends at 10^5-10^6 nodes: hybrid vs ERS stretch, flat topology",
 		Columns: []string{"nodes", "preset", "stubs", "lmk+rtt", "ERS", "ERS@10x"},
 	}
+	var cells []ScaleCell
 	for _, n := range sweep {
 		for _, kind := range []TopoKind{TSKLarge, TSKSmall} {
 			res, err := RunScaleCell(kind, n, sc, dir)
@@ -234,10 +235,51 @@ func RunExtScale(sc Scale) ([]*Table, error) {
 				return nil, fmt.Errorf("experiment: ext-scale %s/%d: %w", kind, n, err)
 			}
 			t.AddRowf(res.Nodes, string(kind), res.Stubs, res.Hybrid, res.ERS, res.ERSBig)
+			cells = append(cells, res)
 		}
 	}
 	t.Note("topologies grow wide (more edge networks, preset stub density) via Spec.SizedWide")
 	t.Note("per-query stretch samples stream to disk (metstream); the table is aggregated by re-read")
-	t.Note("Figures 3-6 trend holds as N grows 100x: hybrid stretch stays several times below ERS at equal budget")
+	for _, n := range scaleTrendNotes(cells) {
+		t.Note("%s", n)
+	}
 	return []*Table{t}, nil
+}
+
+// scaleTrendNotes states the Figures 3-6 comparison as the rows measured
+// it: the range of ERS÷hybrid stretch at equal budget, or the rows where
+// hybrid is not below ERS, and how often ERS with 10x the budget
+// undercuts hybrid.
+func scaleTrendNotes(cells []ScaleCell) []string {
+	name := func(c ScaleCell) string { return fmt.Sprintf("%d %s", c.Nodes, c.Kind) }
+	var broken, undercut []string
+	lo, hi := math.Inf(1), 0.0
+	var loCell ScaleCell
+	for _, c := range cells {
+		ratio := c.ERS / c.Hybrid
+		if !(ratio > 1) { // a NaN ratio (an empty series) breaks it too
+			broken = append(broken, fmt.Sprintf("%s (hybrid %.3f, ERS %.3f)", name(c), c.Hybrid, c.ERS))
+		}
+		if ratio < lo {
+			lo, loCell = ratio, c
+		}
+		hi = math.Max(hi, ratio)
+		if c.ERSBig < c.Hybrid {
+			undercut = append(undercut, name(c))
+		}
+	}
+	var notes []string
+	if len(broken) > 0 {
+		notes = append(notes, "trend broken: hybrid stretch is not below ERS at equal budget in "+strings.Join(broken, ", "))
+	} else {
+		notes = append(notes, fmt.Sprintf("hybrid stretch is %.1fx-%.1fx below ERS at equal budget in all %d rows (least at %s)",
+			lo, hi, len(cells), name(loCell)))
+	}
+	if len(undercut) == 0 {
+		notes = append(notes, "ERS at 10x the budget stays above hybrid in every row")
+	} else {
+		notes = append(notes, fmt.Sprintf("ERS at 10x the budget undercuts hybrid in %d of %d rows: %s",
+			len(undercut), len(cells), strings.Join(undercut, ", ")))
+	}
+	return notes
 }

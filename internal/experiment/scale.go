@@ -88,7 +88,10 @@ func Quick(seed uint64) Scale {
 		ERSSweep:      []int{10, 30, 100, 300, 1000, 2000},
 		CondenseSweep: []int{0, 1, 2, 4},
 		CANDims:       []int{2, 3, 4},
-		ScaleSweep:    []int{1024, 2048},
+		// SizedWide grows both presets in steps of one stub per transit
+		// node (2,560 hosts), so these targets land one and two steps up
+		// (~2.6k and ~5.2k hosts) rather than rounding to the same size.
+		ScaleSweep: []int{2500, 5000},
 	}
 }
 

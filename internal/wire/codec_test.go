@@ -15,7 +15,7 @@ import (
 func codecMessages() []Message {
 	return []Message{
 		{Type: MsgPing, Seq: 1},
-		{Type: MsgPong, Seq: 2, Codec: CodecBinary},
+		{Type: MsgPong, Seq: 2},
 		{Type: MsgStore, Seq: 3, Record: &Record{
 			Addr: "10.0.0.1:9000", Vector: []float64{1.5, 2.25, 0}, Number: 1234, ExpiresUnixMilli: 99999,
 		}},
@@ -39,7 +39,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, in := range codecMessages() {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := writeMessage(w, in, CodecBinary); err != nil {
+		if err := WriteMessage(w, in); err != nil {
 			t.Fatalf("write %v: %v", in.Type, err)
 		}
 		if buf.Bytes()[0] != binMagic {
@@ -68,7 +68,7 @@ func TestBinaryCodecStats(t *testing.T) {
 	in := Message{Type: MsgStatsReply, Seq: 77, Stats: &snap}
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeMessage(w, in, CodecBinary); err != nil {
+	if err := WriteMessage(w, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadMessage(bufio.NewReader(&buf))
@@ -80,47 +80,12 @@ func TestBinaryCodecStats(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecMixedFrames interleaves JSON and binary frames on one
-// stream: the reader must classify each frame independently.
-func TestBinaryCodecMixedFrames(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	msgs := codecMessages()
-	for i, m := range msgs {
-		codec := CodecJSON
-		if i%2 == 1 {
-			codec = CodecBinary
-		}
-		if err := writeMessage(w, m, codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bufio.NewReader(&buf)
-	var st decodeState
-	for i, want := range msgs {
-		got, err := readMessageInto(r, &st)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		wantCodec := CodecJSON
-		if i%2 == 1 {
-			wantCodec = CodecBinary
-		}
-		if st.codec != wantCodec {
-			t.Fatalf("frame %d decoded as codec %d, want %d", i, st.codec, wantCodec)
-		}
-		if got.Type != want.Type || got.Seq != want.Seq {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
-		}
-	}
-}
-
 // TestBinaryCodecTruncation feeds every prefix of a valid binary frame:
 // each must error, never panic or misparse.
 func TestBinaryCodecTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeMessage(w, codecMessages()[2], CodecBinary); err != nil {
+	if err := WriteMessage(w, codecMessages()[2]); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -144,164 +109,5 @@ func TestBinaryCodecOversizedFrame(t *testing.T) {
 	frame[7] = 0x7f // payload length far above maxFrame
 	if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame))); err != errFrameTooLarge {
 		t.Fatalf("oversized frame: err = %v, want errFrameTooLarge", err)
-	}
-}
-
-// TestCodecNegotiationUpgrade drives one RPC through the pooled
-// transport against a binary-capable node and asserts the connection
-// upgraded: the JSON request advertises, the JSON reply echoes, and all
-// later frames are binary.
-func TestCodecNegotiationUpgrade(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	tr := NewTransport(1)
-	defer tr.Close()
-	for i := 0; i < 3; i++ {
-		resp, err := tr.RoundTrip(node.Addr(), Message{Type: MsgPing}, testTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Type != MsgPong {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-	tr.mu.Lock()
-	pp := tr.peers[node.Addr()]
-	tr.mu.Unlock()
-	pp.mu.Lock()
-	if len(pp.conns) != 1 {
-		pp.mu.Unlock()
-		t.Fatalf("pool holds %d conns, want 1", len(pp.conns))
-	}
-	pc := pp.conns[0]
-	pp.mu.Unlock()
-	if got := uint8(pc.codec.Load()); got != CodecBinary {
-		t.Fatalf("connection codec = %d, want binary after echo", got)
-	}
-}
-
-// TestCodecStaysJSONAgainstOldPeer pins the server to JSON (the
-// pre-binary peer emulation) and asserts the client connection never
-// upgrades yet all RPCs succeed.
-func TestCodecStaysJSONAgainstOldPeer(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute,
-		WithMaxCodec(CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	tr := NewTransport(1)
-	defer tr.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := tr.RoundTrip(node.Addr(), Message{Type: MsgPing}, testTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr.mu.Lock()
-	pp := tr.peers[node.Addr()]
-	tr.mu.Unlock()
-	pp.mu.Lock()
-	pc := pp.conns[0]
-	pp.mu.Unlock()
-	if got := uint8(pc.codec.Load()); got != CodecJSON {
-		t.Fatalf("connection codec = %d, want JSON against an old peer", got)
-	}
-}
-
-// TestMixedCodecInterop is the rollout scenario end to end: a
-// binary-codec node and a JSON-pinned node complete publish, query, and
-// withdraw against each other in both directions.
-func TestMixedCodecInterop(t *testing.T) {
-	// Build a two-node cluster by hand so each side gets its own codec
-	// cap: addrs are learned from throwaway listeners first (the same
-	// two-pass trick as cluster()).
-	boot := make([]*Node, 2)
-	addrs := make([]string, 2)
-	for i := range boot {
-		nd, err := NewNode("127.0.0.1:0", testConfig([]string{"p"}), nil, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		boot[i] = nd
-		addrs[i] = nd.Addr()
-	}
-	for _, nd := range boot {
-		if err := nd.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := testConfig(addrs)
-	binNode, err := NewNode(addrs[0], cfg, addrs, time.Minute, WithMaxCodec(CodecBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binNode.Close()
-	jsonNode, err := NewNode(addrs[1], cfg, addrs, time.Minute, WithMaxCodec(CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonNode.Close()
-
-	for _, nd := range []*Node{binNode, jsonNode} {
-		if _, err := nd.Publish(1, testTimeout); err != nil {
-			t.Fatalf("publish from %s: %v", nd.Addr(), err)
-		}
-	}
-	// Every record must be queryable from both sides regardless of which
-	// codec carried it.
-	for _, nd := range []*Node{binNode, jsonNode} {
-		for _, owner := range addrs {
-			recs, err := nd.query(owner, 0, 16, testTimeout)
-			if err != nil {
-				t.Fatalf("query %s from %s: %v", owner, nd.Addr(), err)
-			}
-			if len(recs) == 0 {
-				t.Fatalf("no records on %s seen from %s", owner, nd.Addr())
-			}
-		}
-	}
-	for _, nd := range []*Node{binNode, jsonNode} {
-		if n, err := nd.Withdraw(testTimeout); err != nil || n == 0 {
-			t.Fatalf("withdraw from %s: removed=%d err=%v", nd.Addr(), n, err)
-		}
-	}
-	if got := binNode.RecordCount() + jsonNode.RecordCount(); got != 0 {
-		t.Fatalf("%d records survive withdrawal", got)
-	}
-}
-
-// TestCodecMetricsSurface asserts the wire_codec gauge reflects the
-// negotiated mix: a binary client conn plus the server-side view of it.
-func TestCodecMetricsSurface(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	if _, err := nodes[1].ping(nodes[0].Addr(), testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nodes[1].ping(nodes[0].Addr(), testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	// nodes[1]'s client conn must have upgraded; its registry counts it
-	// under wire_codec{version="binary"}.
-	snap := nodes[1].Registry().Snapshot()
-	var binaryConns float64
-	found := false
-	for _, fam := range snap.Families {
-		if fam.Name != "wire_codec" {
-			continue
-		}
-		for _, s := range fam.Series {
-			for _, l := range s.LabelValues {
-				if l == "binary" {
-					binaryConns += s.Value
-					found = true
-				}
-			}
-		}
-	}
-	if !found || binaryConns < 1 {
-		t.Fatalf("wire_codec{version=binary} = %v (found=%v), want >= 1", binaryConns, found)
 	}
 }

@@ -11,7 +11,7 @@ import (
 func binFrame(m Message) []byte {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := writeMessage(bw, m, CodecBinary); err != nil {
+	if err := WriteMessage(bw, m); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -19,12 +19,11 @@ func binFrame(m Message) []byte {
 
 // sameMessage compares the semantic payload of two messages: everything
 // the dispatcher and multiplexer act on. Stats snapshots are compared by
-// family count only (they ride as embedded JSON in both codecs).
+// family count only (they ride as embedded JSON bytes).
 func sameMessage(t *testing.T, what string, a, b Message) {
 	t.Helper()
 	if a.Type != b.Type || a.Seq != b.Seq || a.Number != b.Number ||
 		a.Max != b.Max || a.Addr != b.Addr || a.Err != b.Err ||
-		a.Codec != b.Codec ||
 		len(a.Records) != len(b.Records) || len(a.Errs) != len(b.Errs) {
 		t.Fatalf("%s mangled message:\n in: %+v\nout: %+v", what, a, b)
 	}
@@ -68,14 +67,17 @@ func sameMessage(t *testing.T, what string, a, b Message) {
 	}
 }
 
-// FuzzReadMessage fuzzes the wire codec: arbitrary byte streams must
-// never panic or hang the frame reader, every accepted frame must
-// survive a re-encode/re-read round trip unchanged in the codec it
-// arrived in, and no accepted frame may exceed the size cap. The seed
-// corpus (here and in testdata/fuzz/FuzzReadMessage) covers truncated
-// frames, oversized frames, invalid JSON, batch frames, seq edge values,
-// and binary frames — well-formed, truncated, and corrupted.
+// FuzzReadMessage fuzzes the frame reader: arbitrary byte streams must
+// never panic or hang it, every input not opening with a version-3
+// frame header must be rejected, and every accepted frame must survive
+// a re-encode/re-read round trip unchanged, with the re-encoded frame
+// stable byte for byte. The seed corpus (here and in
+// testdata/fuzz/FuzzReadMessage) keeps the retired JSON frames as
+// must-reject inputs, plus version-2 frames (seed_bin_nego is a
+// version-2 negotiation echo), and covers binary frames well-formed,
+// truncated, and corrupted.
 func FuzzReadMessage(f *testing.F) {
+	// Retired JSON framing: every one of these must be rejected.
 	f.Add([]byte("{\"type\":\"ping\",\"seq\":1}\n"))
 	f.Add([]byte("{\"type\":\"pong\",\"seq\":18446744073709551615}\n"))
 	f.Add([]byte("{\"type\":\"store\",\"seq\":2,\"record\":{\"addr\":\"a:1\",\"vector\":[1.5,2],\"number\":7,\"expires_unix_milli\":99}}\n"))
@@ -84,22 +86,23 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte("{\"type\":\"error\",\"seq\":4,\"err\":\"boom\"}\n"))
 	f.Add([]byte("{\"type\":\"ping\",\"seq\":8,\"trace\":{\"trace_id\":12345,\"span_id\":678,\"sampled\":true}}\n"))
 	f.Add([]byte("{\"type\":\"store\",\"seq\":9,\"record\":{\"addr\":\"a:1\",\"number\":7,\"expires_unix_milli\":99},\"trace\":{\"trace_id\":18446744073709551615,\"span_id\":1}}\n"))
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":10,\"trace\":{}}\n"))                // zero trace context
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":11,\"trace\":{\"trace_id\":-1}}\n")) // trace id out of range
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":12,\"future_field\":true}\n"))       // unknown field (fwd compat)
-	f.Add([]byte("{\"type\":\"query\",\"seq\":5,\"number\":123,\"max\":8"))       // truncated: no brace, no newline
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":"))                                  // truncated mid-value
-	f.Add([]byte("this is not json\n"))                                           // invalid JSON
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":1}"))                                // missing newline
-	f.Add([]byte("\n"))                                                           // empty frame
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":-1}\n"))                             // seq out of range
-	f.Add([]byte(strings.Repeat("a", 4096) + "\n"))                               // spans bufio fills
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":10,\"trace\":{}}\n"))
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":11,\"trace\":{\"trace_id\":-1}}\n"))
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":12,\"future_field\":true}\n"))
+	f.Add([]byte("{\"type\":\"query\",\"seq\":5,\"number\":123,\"max\":8"))
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":"))
+	f.Add([]byte("this is not json\n"))
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":1}"))
+	f.Add([]byte("\n"))
+	f.Add([]byte("{\"type\":\"ping\",\"seq\":-1}\n"))
+	f.Add([]byte(strings.Repeat("a", 4096) + "\n"))
 	f.Add([]byte("{\"type\":\"records\",\"seq\":6,\"records\":[]}\n" +
-		"{\"type\":\"ping\",\"seq\":7}\n")) // two frames back to back
+		"{\"type\":\"ping\",\"seq\":7}\n"))
 
-	// Binary frames: plain, negotiating, record-bearing, traced, batched.
+	// Binary frames: plain, record-bearing, traced, batched, and a
+	// version-2 frame that must be rejected.
 	f.Add(binFrame(Message{Type: MsgPing, Seq: 1}))
-	f.Add(binFrame(Message{Type: MsgPong, Seq: 2, Codec: CodecBinary}))
+	f.Add(v2Frame(Message{Type: MsgPong, Seq: 2}))
 	f.Add(binFrame(Message{Type: MsgStore, Seq: 3, Record: &Record{
 		Addr: "a:1", Vector: []float64{1.5, 2}, Number: 7, ExpiresUnixMilli: 99}}))
 	f.Add(binFrame(Message{Type: MsgQuery, Seq: 4, Number: 123, Max: -8}))
@@ -113,7 +116,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(corrupt)
 	mixed := append(binFrame(Message{Type: MsgPing, Seq: 9}),
 		[]byte("{\"type\":\"pong\",\"seq\":10}\n")...)
-	f.Add(mixed) // binary then JSON on one stream
+	f.Add(mixed) // a binary frame, then retired JSON on the same stream
 	f.Add(binFrame(Message{Type: MsgPeers, Seq: 11}))
 	f.Add(binFrame(Message{Type: MsgPeersReply, Seq: 12, Epoch: 3,
 		Peers: []string{"a:1", "b:2", "c:3"}}))
@@ -125,81 +128,29 @@ func FuzzReadMessage(f *testing.F) {
 		if err != nil {
 			return // rejected input: the only requirement is no panic/hang
 		}
-		// An accepted frame re-encodes and re-reads to the same message in
-		// the codec it arrived in: the codec cannot silently alter Seq (the
-		// multiplexer's match key), the type, or the payload shape. The
-		// binary side must hold even for payloads JSON cannot carry (NaN
-		// vector components), which is why the inbound codec is reused.
+		if data[0] != binMagic || data[1] != CodecBinary {
+			t.Fatalf("accepted a frame opening %#x %#x, want %#x %#x", data[0], data[1], binMagic, CodecBinary)
+		}
+		// An accepted frame re-encodes and re-reads to the same message:
+		// the codec cannot silently alter Seq (the multiplexer's match
+		// key), the type, or the payload shape.
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
-		if err := writeMessage(bw, m, st.codec); err != nil {
+		if err := WriteMessage(bw, m); err != nil {
 			if err == errFrameTooLarge {
 				return // outbound writer refuses frames past the cap
 			}
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		if st.codec == CodecJSON && buf.Len() > maxFrame {
-			// JSON escaping can legitimately grow a near-cap frame past
-			// the limit on re-encode; the outbound writer would refuse it.
-			return
-		}
+		frame := append([]byte(nil), buf.Bytes()...)
 		var st2 decodeState
 		m2, err := readMessageInto(bufio.NewReader(&buf), &st2)
 		if err != nil {
 			t.Fatalf("re-read of accepted frame failed: %v", err)
 		}
 		sameMessage(t, "round trip", m, m2)
-	})
-}
-
-// FuzzCodecDifferential is the cross-codec oracle: any frame the JSON
-// decoder accepts must encode to binary and decode back semantically
-// identical — the two codecs may never drift apart on what a message
-// means. (The differential runs JSON-to-binary only: binary can carry
-// float payloads, like NaN vector components, that JSON cannot.)
-func FuzzCodecDifferential(f *testing.F) {
-	f.Add([]byte("{\"type\":\"ping\",\"seq\":1}\n"))
-	f.Add([]byte("{\"type\":\"pong\",\"seq\":2,\"codec\":2}\n"))
-	f.Add([]byte("{\"type\":\"store\",\"seq\":3,\"record\":{\"addr\":\"a:1\",\"vector\":[1.5,2],\"number\":7,\"expires_unix_milli\":-99}}\n"))
-	f.Add([]byte("{\"type\":\"query\",\"seq\":4,\"number\":18446744073709551615,\"max\":-8}\n"))
-	f.Add([]byte("{\"type\":\"records\",\"seq\":5,\"records\":[{\"addr\":\"a:1\",\"number\":1},{\"addr\":\"b:2\",\"vector\":[0.5],\"number\":2}]}\n"))
-	f.Add([]byte("{\"type\":\"batch-ack\",\"seq\":6,\"errs\":[\"\",\"store without addr\",\"\"]}\n"))
-	f.Add([]byte("{\"type\":\"error\",\"seq\":7,\"err\":\"boom\"}\n"))
-	f.Add([]byte("{\"type\":\"remove\",\"seq\":8,\"addr\":\"1.2.3.4:5\",\"trace\":{\"trace_id\":12345,\"span_id\":678,\"sampled\":true}}\n"))
-	f.Add([]byte("{\"type\":\"peers\",\"seq\":9}\n"))
-	f.Add([]byte("{\"type\":\"peers-reply\",\"seq\":10,\"epoch\":4,\"peers\":[\"a:1\",\"b:2\"]}\n"))
-	f.Add([]byte("{\"type\":\"peers-reply\",\"seq\":11,\"epoch\":0,\"peers\":[]}\n"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMessage(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
+		if again := binFrame(m2); !bytes.Equal(again, frame) {
+			t.Fatalf("re-encoding is unstable:\nfirst:  %x\nsecond: %x", frame, again)
 		}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := writeMessage(bw, m, CodecBinary); err != nil {
-			if err == errFrameTooLarge {
-				return
-			}
-			t.Fatalf("binary encode of JSON-accepted frame failed: %v", err)
-		}
-		frame := buf.Bytes()
-		if len(frame) == 0 || frame[0] != binMagic {
-			// The encoder fell back to JSON: legal only for messages the
-			// binary layout cannot represent (unknown type strings).
-			if _, known := msgTypeCode[m.Type]; known {
-				t.Fatalf("binary encoder fell back to JSON for known type %q", m.Type)
-			}
-			return
-		}
-		var st decodeState
-		m2, err := readMessageInto(bufio.NewReader(&buf), &st)
-		if err != nil {
-			t.Fatalf("binary decode of re-encoded frame failed: %v", err)
-		}
-		if st.codec != CodecBinary {
-			t.Fatalf("re-encoded frame decoded as codec %d", st.codec)
-		}
-		sameMessage(t, "cross-codec", m, m2)
 	})
 }

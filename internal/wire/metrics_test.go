@@ -37,9 +37,10 @@ func TestServeMetricsCountRequests(t *testing.T) {
 	if _, err := Query(n.Addr(), 3, 4, timeout); err != nil {
 		t.Fatal(err)
 	}
-	// A garbage request type lands in the error counter.
-	if _, err := roundTrip(n.Addr(), Message{Type: "bogus", Seq: 9}, timeout); err == nil {
-		t.Fatal("bogus request did not error")
+	// A request of a type the node does not serve (a response type; an
+	// unknown one cannot be framed) lands in the error counter.
+	if _, err := roundTrip(n.Addr(), Message{Type: MsgPong, Seq: 9}, timeout); err == nil {
+		t.Fatal("pong request did not error")
 	}
 
 	snap := n.Registry().Snapshot()

@@ -10,18 +10,18 @@
 // soft-state code paths are not simulator-only. Placement uses a one-hop
 // ring over a static peer list — the degenerate Chord of the appendix.
 //
-// Framing is newline-delimited JSON over TCP. Connections are
-// persistent and multiplexed: many requests may be in flight on one
-// connection at once, and responses are matched back to callers by Seq
-// (see Transport). The package-level helpers (Ping, Store, Query, ...)
-// keep the simple dial-per-call behavior for scripts and tests; node
-// client calls go through the node's pooled Transport.
+// Framing is length-prefixed binary over TCP (layout in codec.go); every
+// frame carries a version byte, and a reader rejects any version but
+// CodecBinary. Connections are persistent and multiplexed: many
+// requests may be in flight on one connection at once, and responses
+// are matched back to callers by Seq (see Transport). The package-level
+// helpers (Ping, Store, Query, ...) keep the simple dial-per-call
+// behavior for scripts and tests; node client calls go through the
+// node's pooled Transport.
 package wire
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -67,13 +67,13 @@ const (
 // space.
 type Record struct {
 	// Addr is the peer's dialable address.
-	Addr string `json:"addr"`
+	Addr string
 	// Vector is the peer's landmark vector (RTTs in ms, landmark order).
-	Vector []float64 `json:"vector"`
+	Vector []float64
 	// Number is the peer's scalar landmark number.
-	Number uint64 `json:"number"`
+	Number uint64
 	// ExpiresUnixMilli is the soft-state deadline.
-	ExpiresUnixMilli int64 `json:"expires_unix_milli"`
+	ExpiresUnixMilli int64
 }
 
 // Expired reports whether the record is past its deadline at now.
@@ -83,179 +83,110 @@ func (r Record) Expired(now time.Time) bool {
 
 // Message is the single wire frame.
 type Message struct {
-	Type MsgType `json:"type"`
+	Type MsgType
 	// Seq echoes request sequence numbers into responses.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Record rides on store requests.
-	Record *Record `json:"record,omitempty"`
+	Record *Record
 	// Number keys query requests.
-	Number uint64 `json:"number,omitempty"`
+	Number uint64
 	// Max bounds how many records a query wants back.
-	Max int `json:"max,omitempty"`
+	Max int
 	// Records ride on query responses and publish-batch requests.
-	Records []Record `json:"records,omitempty"`
+	Records []Record
 	// Errs ride on batch-ack responses to a partially failed batch: one
 	// entry per request record, empty string = stored.
-	Errs []string `json:"errs,omitempty"`
+	Errs []string
 	// Addr keys remove requests (the record to withdraw) and echoes on
 	// removed responses.
-	Addr string `json:"addr,omitempty"`
+	Addr string
 	// Stats rides on stats-reply responses: the serving node's full
 	// telemetry snapshot, so peers can scrape each other.
-	Stats *obs.Snapshot `json:"stats,omitempty"`
+	Stats *obs.Snapshot
 	// Trace carries the distributed-tracing context on sampled requests:
 	// the trace ID, the caller's span (which the server's span parents
-	// to), and the head sampling bit. Absent on unsampled traffic, so
-	// tracing-off frames are byte-identical to the pre-trace format.
-	// Compatibility is free in both directions: old decoders ignore the
-	// unknown field, and new decoders treat its absence as "unsampled".
-	Trace *span.Context `json:"trace,omitempty"`
+	// to), and the head sampling bit. Absent on unsampled traffic: the
+	// frame's trace flag stays clear and decoders read "unsampled".
+	Trace *span.Context
 	// Peers rides on peers-reply responses: the serving node's current
 	// peer ring, sorted. Together with Epoch it lets any client see the
 	// membership a node is actually routing on.
-	Peers []string `json:"peers,omitempty"`
+	Peers []string
 	// Epoch rides on peers-reply responses: the ring epoch the Peers
 	// list belongs to. It starts at 1 and increments on every applied
 	// SetPeers, so differing epochs across a fleet expose membership
 	// drift mid-reconfiguration.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Codec advertises the highest codec version the sender can read
-	// (see CodecJSON/CodecBinary). On a JSON request it asks "may we
-	// switch this connection to binary?"; a binary-capable server echoes
-	// it on the response and the client upgrades the connection. Peers
-	// predating the binary codec ignore the unknown field and never
-	// echo, so the connection simply stays JSON. Zero means "JSON only".
-	Codec uint8 `json:"codec,omitempty"`
+	Epoch uint64
 	// Err describes failures on MsgError.
-	Err string `json:"err,omitempty"`
+	Err string
 }
 
-// maxFrame bounds one wire frame; larger frames are rejected to bound
-// memory against misbehaving peers.
+// maxFrame bounds one frame's payload; larger frames are rejected to
+// bound memory against misbehaving peers.
 const maxFrame = 1 << 20
 
-// errFrameTooLarge rejects frames that exceed maxFrame. The check fires
-// while reading, before the oversized tail is buffered.
+// errFrameTooLarge rejects frames that exceed maxFrame. The reader
+// checks the header's length field, before the payload is buffered.
 var errFrameTooLarge = fmt.Errorf("wire: frame exceeds %d-byte limit", maxFrame)
 
-// frameEncoder pairs a reusable buffer with a JSON encoder so the
-// per-frame encode allocation is paid once per pooled encoder, not once
-// per message. json.Encoder.Encode appends the trailing newline, which
-// is exactly the JSON wire framing. bin is the binary-codec scratch,
-// reused the same way.
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-	bin []byte
-}
+// frameEncoder holds a reusable frame buffer, so the per-frame encode
+// allocation is paid once per pooled encoder, not once per message.
+type frameEncoder struct{ bin []byte }
 
-var encoderPool = sync.Pool{New: func() any {
-	fe := &frameEncoder{}
-	fe.enc = json.NewEncoder(&fe.buf)
-	return fe
-}}
+var encoderPool = sync.Pool{New: func() any { return &frameEncoder{} }}
 
-// WriteMessage frames and sends one message as JSON. Kept as the
-// public single-shot API: JSON is readable by every peer vintage.
+// WriteMessage encodes m as one binary frame and flushes it.
 func WriteMessage(w *bufio.Writer, m Message) error {
-	return writeMessage(w, m, CodecJSON)
-}
-
-// WriteMessageCodec frames and sends one message under an explicit codec
-// version (CodecJSON or CodecBinary) — the codec-pinned counterpart of
-// WriteMessage for tools that speak a known-good version, like the bench
-// harness and corpus generators. Persistent connections negotiate
-// instead (see Transport).
-func WriteMessageCodec(w *bufio.Writer, m Message, codec uint8) error {
-	return writeMessage(w, m, codec)
-}
-
-// writeMessage frames and sends one message under the given codec.
-// Binary falls back to JSON for messages the binary layout cannot carry
-// (unknown type, unmarshalable stats) — readers auto-detect per frame,
-// so the mix is safe on one connection.
-func writeMessage(w *bufio.Writer, m Message, codec uint8) error {
 	fe := encoderPool.Get().(*frameEncoder)
 	defer encoderPool.Put(fe)
-	if codec >= CodecBinary {
-		if buf, ok := appendMessageBinary(fe.bin[:0], &m); ok {
-			fe.bin = buf[:0]
-			if len(buf)-binHeaderLen > maxFrame {
-				return errFrameTooLarge
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			return w.Flush()
-		}
+	buf, err := appendMessageBinary(fe.bin[:0], &m)
+	fe.bin = buf[:0]
+	if err != nil {
+		return err
 	}
-	fe.buf.Reset()
-	if err := fe.enc.Encode(m); err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+	if len(buf)-binHeaderLen > maxFrame {
+		return errFrameTooLarge
 	}
-	if _, err := w.Write(fe.buf.Bytes()); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// readFrame reads one newline-delimited frame into scratch (grown as
-// needed and returned for reuse). The size cap is enforced on the read
-// itself: the frame is rejected as soon as maxFrame bytes accumulate
-// without a newline, so a misbehaving peer cannot force the reader to
-// buffer an unbounded line before the check runs.
-func readFrame(r *bufio.Reader, scratch []byte) ([]byte, error) {
-	line := scratch[:0]
-	for {
-		frag, err := r.ReadSlice('\n')
-		if len(line)+len(frag) > maxFrame {
-			return nil, errFrameTooLarge
-		}
-		line = append(line, frag...)
-		switch err {
-		case nil:
-			return line, nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return nil, err
-		}
+// WriteMessageCodec is WriteMessage with the frame version spelled out,
+// for tools that pin it: any version but CodecBinary is an error.
+func WriteMessageCodec(w *bufio.Writer, m Message, codec uint8) error {
+	if codec != CodecBinary {
+		return fmt.Errorf("%w: cannot write version %d, only version %d", errFrameVersion, codec, CodecBinary)
 	}
+	return WriteMessage(w, m)
 }
 
-// ReadMessage reads one frame of either codec — the first byte
-// classifies it (binary frames open with 0xBF, JSON frames with '{').
-// Frames above 1 MiB are rejected mid-read to bound memory against
-// misbehaving peers.
+// ReadMessage reads one binary frame. Frames above 1 MiB are rejected
+// before their payload is buffered, to bound memory against misbehaving
+// peers; '{'-led frames (the retired JSON framing) and frames of any
+// version but CodecBinary are rejected with errors naming the mismatch.
 func ReadMessage(r *bufio.Reader) (Message, error) {
 	var st decodeState
 	return readMessageInto(r, &st)
 }
 
 // readMessageInto is ReadMessage with an explicit per-connection decode
-// state (scratch buffer, intern table, last-seen codec), reused across
-// frames by the persistent-connection read loops.
+// state (scratch buffer, intern table), reused across frames by the
+// persistent-connection read loops.
 func readMessageInto(r *bufio.Reader, st *decodeState) (Message, error) {
 	first, err := r.Peek(1)
 	if err != nil {
 		return Message{}, err
 	}
-	if first[0] == binMagic {
+	switch first[0] {
+	case binMagic:
 		return readMessageBinary(r, st)
+	case '{':
+		return Message{}, errJSONFraming
+	default:
+		return Message{}, fmt.Errorf("wire: not a frame: first byte %#x, want %#x", first[0], binMagic)
 	}
-	line, err := readFrame(r, st.scratch)
-	if line != nil {
-		st.scratch = line[:0]
-	}
-	if err != nil {
-		return Message{}, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Message{}, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	st.codec = CodecJSON
-	return m, nil
 }
 
 // roundTrip dials addr, sends req, and reads one response.
