@@ -25,15 +25,18 @@ race:
 # the default width so nested fan-out runs genuinely parallel even on
 # single-core CI boxes), and a short coverage-guided fuzz of the CAN
 # membership machine (join/depart/crash interleavings must keep the split
-# tree invariant-clean), and of the wire frame reader (arbitrary bytes
+# tree invariant-clean), of the wire frame reader (arbitrary bytes
 # must never panic or hang it, anything but a version-3 frame must be
-# rejected, and accepted frames must round-trip losslessly).
+# rejected, and accepted frames must round-trip losslessly), and of the
+# soft-state index (scripted puts, deletes, sweeps, walks and nearest
+# queries must match a sort-everything reference).
 check: build vet race bench-diff
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can
 	go test -fuzz FuzzArena -fuzztime 10s -run '^$$' ./internal/arena
 	go test -fuzz FuzzReadMessage -fuzztime 10s -run '^$$' ./internal/wire
+	go test -fuzz FuzzIndex -fuzztime 10s -run '^$$' ./internal/softstate/index
 	go test -fuzz FuzzClusterSpec -fuzztime 10s -run '^$$' ./internal/cluster
 
 # Soak gates, full scale: the ext-churn reconvergence bar (record recall
@@ -61,8 +64,9 @@ bench-json:
 	go run ./cmd/topobench -run all -scale full -seed $(SEED) -j $(J) -bench-json BENCH_engine.json > /dev/null
 
 # Wire transport benchmarks: dial-per-RPC baseline vs the pooled,
-# multiplexed transport and the 64-record publish-batch path, written to
-# BENCH_wire.json (ns/op, allocs/op, conns/op, connection reuse ratio).
+# multiplexed transport, the 64-record publish-batch path and a 24-record
+# query against 10^2..10^4 stored records, written to BENCH_wire.json
+# (ns/op, allocs/op, conns/op, connection reuse ratio).
 bench-wire:
 	go run ./cmd/topobench -wire-bench BENCH_wire.json
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -47,8 +48,9 @@ func wireBenchCfg() wire.SpaceConfig {
 }
 
 // runWireBench benches the wire transport in-process — the dial-per-RPC
-// baseline against the pooled, multiplexed transport and the coalesced
-// publish-batch path — and writes the results to path as JSON.
+// baseline against the pooled, multiplexed transport, the coalesced
+// publish-batch path and queries against growing record counts — and
+// writes the results to path as JSON.
 func runWireBench(path string, out io.Writer) error {
 	server, err := wire.NewNode("127.0.0.1:0", wireBenchCfg(), nil, time.Minute)
 	if err != nil {
@@ -159,10 +161,44 @@ func runWireBench(path string, out io.Writer) error {
 		}
 		return nil
 	})
+
+	// query-r*: a pooled query for 24 records (FindNearest's 3 x budget 8)
+	// against one node as it grows to 10^2, 10^3 and 10^4 records. Numbers
+	// spread over 32 bits and the queried number moves every call, so each
+	// query walks a different stretch of the index; nothing writes in the
+	// timed loop, so the cost is the walk and the reply and should stay
+	// flat in the record count.
+	qserver, err := wire.NewNode("127.0.0.1:0", wireBenchCfg(), nil, time.Minute)
+	if err != nil {
+		return err
+	}
+	defer qserver.Close()
+	rng := simrand.New(3)
+	held, qn := 0, uint64(0)
+	for _, row := range []struct {
+		name    string
+		records int
+	}{{"query-r100", 100}, {"query-r1k", 1_000}, {"query-r10k", 10_000}} {
+		for ; held < row.records; held++ {
+			rec := wire.Record{Addr: fmt.Sprintf("10.%d.%d.%d:4000", byte(held>>16), byte(held>>8), byte(held)),
+				Vector: []float64{rng.Float64() * 50}, Number: rng.Uint64() >> 32, ExpiresUnixMilli: exp}
+			if _, err := tr.RoundTrip(qserver.Addr(), wire.Message{Type: wire.MsgStore, Record: &rec}, time.Second); err != nil {
+				return err
+			}
+		}
+		record(row.name, true, func() error {
+			qn++
+			resp, err := tr.RoundTrip(qserver.Addr(), wire.Message{Type: wire.MsgQuery, Number: (qn * 0x9E3779B97F4A7C15) >> 32, Max: 24}, time.Second)
+			if err == nil && len(resp.Records) != 24 {
+				err = fmt.Errorf("query returned %d records, want 24", len(resp.Records))
+			}
+			return err
+		})
+	}
 	if benchErr != nil {
 		return benchErr
 	}
-	if err := runStoreScaling(&report, out); err != nil {
+	if err := runStoreParallelPublish(&report, out); err != nil {
 		return err
 	}
 
@@ -178,13 +214,12 @@ func runWireBench(path string, out io.Writer) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// runStoreScaling appends the sharded soft-state store's parallel
-// publish curve to the report: four workers publishing disjoint member
-// subsets against shard counts 1 (the pre-sharding single lock), 2, 4,
-// and 8. On a multi-core box throughput scales with shards until the
-// workers are satisfied; on gomaxprocs=1 the win reduces to cheaper lock
-// handoff, so read the curve against the recorded gomaxprocs.
-func runStoreScaling(report *wireBenchReport, out io.Writer) error {
+// runStoreParallelPublish appends the soft-state store's parallel
+// publish cost to the report: four workers publishing disjoint member
+// subsets into one store, every publish contending for its lock. The
+// row keeps its name from when the store was split into lock shards and
+// this was the one-shard baseline.
+func runStoreParallelPublish(report *wireBenchReport, out io.Writer) error {
 	spec := topology.Spec{
 		TransitDomains:        3,
 		TransitNodesPerDomain: 4,
@@ -197,69 +232,65 @@ func runStoreScaling(report *wireBenchReport, out io.Writer) error {
 	}
 	net := topology.MustGenerate(spec, simrand.New(1))
 	const workers = 4
-	for _, shards := range []int{1, 2, 4, 8} {
-		env := netsim.New(net)
-		rng := simrand.New(2)
-		ov, err := ecan.BuildUniform(net, 64, 2, 0, ecan.RandomSelector{RNG: rng.Split("sel")}, rng)
-		if err != nil {
-			return err
-		}
-		set, err := landmark.Choose(net, 8, rng.Split("landmarks"))
-		if err != nil {
-			return err
-		}
-		maxRTT := landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 30))
-		space, err := landmark.NewSpace(set, 3, 5, maxRTT)
-		if err != nil {
-			return err
-		}
-		cfg := softstate.DefaultConfig()
-		cfg.Shards = shards
-		store, err := softstate.NewStore(ov, space, env, cfg)
-		if err != nil {
-			return err
-		}
-		members := ov.CAN().Members()
-		vecs := make([]landmark.Vector, len(members))
-		for i, m := range members {
-			vecs[i] = landmark.Measure(env, m.Host, space.Set())
-			if err := store.Publish(m, vecs[i]); err != nil {
-				return err
-			}
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			var wg sync.WaitGroup
-			per := b.N/workers + 1
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						idx := (w + i*workers) % len(members)
-						if err := store.Publish(members[idx], vecs[idx]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
-		if res.N == 0 {
-			return fmt.Errorf("store-parallel-publish-s%d: benchmark did not run", shards)
-		}
-		r := wireBenchResult{
-			Name:        fmt.Sprintf("store-parallel-publish-s%d", shards),
-			Ops:         res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		report.Results = append(report.Results, r)
-		fmt.Fprintf(out, "%-22s %10d ops %12.0f ns/op %6d allocs/op\n",
-			r.Name, r.Ops, r.NsPerOp, r.AllocsPerOp)
+	env := netsim.New(net)
+	rng := simrand.New(2)
+	ov, err := ecan.BuildUniform(net, 64, 2, 0, ecan.RandomSelector{RNG: rng.Split("sel")}, rng)
+	if err != nil {
+		return err
 	}
+	set, err := landmark.Choose(net, 8, rng.Split("landmarks"))
+	if err != nil {
+		return err
+	}
+	maxRTT := landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 30))
+	space, err := landmark.NewSpace(set, 3, 5, maxRTT)
+	if err != nil {
+		return err
+	}
+	store, err := softstate.NewStore(ov, space, env, softstate.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	members := ov.CAN().Members()
+	vecs := make([]landmark.Vector, len(members))
+	for i, m := range members {
+		vecs[i] = landmark.Measure(env, m.Host, space.Set())
+		if err := store.Publish(m, vecs[i]); err != nil {
+			return err
+		}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		var wg sync.WaitGroup
+		per := b.N/workers + 1
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					idx := (w + i*workers) % len(members)
+					if err := store.Publish(members[idx], vecs[idx]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+	if res.N == 0 {
+		return errors.New("store-parallel-publish-s1: benchmark did not run")
+	}
+	r := wireBenchResult{
+		Name:        "store-parallel-publish-s1",
+		Ops:         res.N,
+		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+	}
+	report.Results = append(report.Results, r)
+	fmt.Fprintf(out, "%-22s %10d ops %12.0f ns/op %6d allocs/op\n",
+		r.Name, r.Ops, r.NsPerOp, r.AllocsPerOp)
 	return nil
 }
 

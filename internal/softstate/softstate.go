@@ -12,33 +12,31 @@
 //
 // A node looking for a physically close member of region Z indexes Z's map
 // with its own landmark number (Table 1's procedure): route to the owner,
-// widen along the curve if the local shard is thin, sort what was found by
-// full-vector distance, return the top X. The caller then RTT-probes those
-// X candidates — the hybrid landmark+RTT scheme.
+// widen along the curve if the owner's part of the map is thin, sort what
+// was found by full-vector distance, return the top X. The caller then
+// RTT-probes those X candidates — the hybrid landmark+RTT scheme. Each
+// region map is an index.Index, the number-ordered index the wire daemon
+// serves its records from as well.
 //
 // # Concurrency
 //
-// The store is sharded by landmark-number range: entries whose numbers
-// fall in different shards never share a lock, so concurrent publishes,
-// refreshes, sweeps, and repairs touching different parts of the curve
-// proceed in parallel. All of one member's entries live in the shard of
-// its current number (republishing to a new number relocates them), so
-// member-keyed operations (Remove, Purge, UpdateLoad, RefreshAll) lock
-// exactly one shard. Entries are copy-on-write — immutable once
-// inserted; refresh and load updates replace the pointer — so snapshots
-// handed out by Lookup and events stay race-free without locks. Event
-// sinks run after shard locks are released and may safely re-enter the
-// store. Configuration (SetEventSink, AddEventSink, SetPublishFilter,
-// Instrument, SetSpans) must happen before concurrent use.
+// One lock guards every region map. Lookup holds it only to take the
+// region's number-sorted snapshot; the outward walk, the owner counting
+// and the full-vector sort run after it is released. Entries are
+// copy-on-write — immutable once inserted; refresh and load updates
+// replace the pointer — so snapshots handed out by Lookup and events stay
+// race-free without locks. Event sinks run after the lock is released
+// and may safely re-enter the store. Configuration (SetEventSink,
+// AddEventSink, SetPublishFilter, Instrument, SetSpans) must happen
+// before concurrent use.
 package softstate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
@@ -46,6 +44,7 @@ import (
 	"gsso/internal/netsim"
 	"gsso/internal/obs"
 	"gsso/internal/obs/span"
+	"gsso/internal/softstate/index"
 	"gsso/internal/topology"
 )
 
@@ -106,12 +105,6 @@ type Event struct {
 	Entry  *Entry
 }
 
-// defaultShards is the shard count used when Config.Shards is zero.
-const defaultShards = 8
-
-// maxShardCount bounds Config.Shards.
-const maxShardCount = 1 << 10
-
 // Config tunes the store.
 type Config struct {
 	// TTL is the soft-state lifetime of a published entry.
@@ -123,21 +116,15 @@ type Config struct {
 	CondenseDepth int
 	// MaxReturn is X, the maximum number of candidates a lookup returns.
 	MaxReturn int
-	// ExpandBudget bounds how many additional owner shards a lookup may
-	// visit along the curve when the first shard is thin (the paper's
-	// "define a TTL to search outside y's map content range").
+	// ExpandBudget bounds how many additional map owners a lookup may
+	// visit along the curve when the first owner's part of the map is thin
+	// (the paper's "define a TTL to search outside y's map content range").
 	ExpandBudget int
-	// Shards is the number of landmark-number ranges the store is split
-	// into for concurrency — a power of two up to 1024, clamped to the
-	// curve's resolution. Zero selects the default (8). One shard
-	// degenerates to a single-lock store (the old behavior, kept as the
-	// benchmark baseline).
-	Shards int
 }
 
 // DefaultConfig returns the defaults used across experiments.
 func DefaultConfig() Config {
-	return Config{TTL: 60_000, CondenseDepth: 0, MaxReturn: 10, ExpandBudget: 8, Shards: defaultShards}
+	return Config{TTL: 60_000, CondenseDepth: 0, MaxReturn: 10, ExpandBudget: 8}
 }
 
 func (c Config) validate() error {
@@ -150,48 +137,18 @@ func (c Config) validate() error {
 		return fmt.Errorf("softstate: MaxReturn = %d, need >= 1", c.MaxReturn)
 	case c.ExpandBudget < 0:
 		return fmt.Errorf("softstate: ExpandBudget = %d, need >= 0", c.ExpandBudget)
-	case c.Shards < 0 || c.Shards > maxShardCount:
-		return fmt.Errorf("softstate: Shards = %d, need in [0,%d]", c.Shards, maxShardCount)
-	case c.Shards&(c.Shards-1) != 0:
-		return fmt.Errorf("softstate: Shards = %d, need a power of two", c.Shards)
 	}
 	return nil
 }
 
-// regionMap is one shard's slice of one region's proximity map: entries
-// keyed by member, plus a number-sorted view rebuilt lazily for
-// curve-order expansion. The rebuild allocates a fresh slice so a view
-// handed out under the shard lock stays valid after the lock drops.
-type regionMap struct {
-	entries map[*can.Member]*Entry
-	sorted  []*Entry // by Number, rebuilt (fresh) when dirty
-	dirty   bool
-}
+// regionMap is one region's proximity map: entries keyed by member,
+// ordered by landmark number and then host.
+type regionMap = index.Index[*can.Member, *Entry]
 
-func (rm *regionMap) sortedEntries() []*Entry {
-	if rm.dirty {
-		sorted := make([]*Entry, 0, len(rm.entries))
-		for _, e := range rm.entries {
-			sorted = append(sorted, e)
-		}
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Number != sorted[j].Number {
-				return sorted[i].Number < sorted[j].Number
-			}
-			return sorted[i].Host < sorted[j].Host // deterministic tie-break
-		})
-		rm.sorted = sorted
-		rm.dirty = false
-	}
-	return rm.sorted
-}
-
-// storeShard is one landmark-number range of the store: its own region
-// maps, its own lock, and a lock-free live-entry counter.
-type storeShard struct {
-	mu   sync.Mutex
-	maps map[can.Path]*regionMap
-	live atomic.Int64
+func newRegionMap() *regionMap {
+	return index.New[*can.Member](
+		func(e *Entry) uint64 { return e.Number },
+		func(a, b *Entry) int { return cmp.Compare(a.Host, b.Host) })
 }
 
 // memberState is a member's published position, immutable once stored
@@ -202,19 +159,17 @@ type memberState struct {
 }
 
 // Store holds every region map of one overlay plus the metadata needed
-// to place and retrieve entries, sharded by landmark-number range (see
-// the package comment for the locking discipline).
+// to place and retrieve entries (see the package comment for the locking
+// discipline).
 type Store struct {
 	overlay *ecan.Overlay
 	space   *landmark.Space
 	env     *netsim.Env
 	cfg     Config
 
-	// numShift maps a landmark number to its shard: index = number >>
-	// numShift. Shard ranges are contiguous, so the per-shard sorted
-	// slices of one region concatenate into global number order.
-	numShift uint
-	shards   []*storeShard
+	mu   sync.Mutex
+	maps map[can.Path]*regionMap
+	live int // entries across all maps, expired or not
 
 	members sync.Map // *can.Member -> *memberState; lock-free reads
 
@@ -275,44 +230,16 @@ func NewStore(ov *ecan.Overlay, space *landmark.Space, env *netsim.Env, cfg Conf
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = defaultShards
-	}
-	curveWidth := space.Curve().Dims() * space.Curve().Bits()
-	shardBits := bits.TrailingZeros(uint(cfg.Shards))
-	if shardBits > curveWidth {
-		// More shards than the curve has distinct numbers buys nothing.
-		shardBits = curveWidth
-		cfg.Shards = 1 << shardBits
-	}
-	s := &Store{
-		overlay:  ov,
-		space:    space,
-		env:      env,
-		cfg:      cfg,
-		numShift: uint(curveWidth - shardBits),
-		shards:   make([]*storeShard, cfg.Shards),
-	}
-	for i := range s.shards {
-		s.shards[i] = &storeShard{maps: make(map[can.Path]*regionMap)}
-	}
-	return s, nil
+	return &Store{
+		overlay: ov,
+		space:   space,
+		env:     env,
+		cfg:     cfg,
+		maps:    make(map[can.Path]*regionMap),
+	}, nil
 }
 
-// shardOf maps a landmark number to its shard index.
-func (s *Store) shardOf(number uint64) int {
-	i := int(number >> s.numShift)
-	if i >= len(s.shards) {
-		i = len(s.shards) - 1
-	}
-	return i
-}
-
-// Shards reports the store's effective shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// Config returns the store's configuration (Shards normalized to the
-// effective count).
+// Config returns the store's configuration.
 func (s *Store) Config() Config { return s.cfg }
 
 // Space returns the landmark space in use.
@@ -349,13 +276,13 @@ func (s *Store) AddEventSink(fn func(Event)) {
 // which fn returns false. Experiments use it to model unreachable map
 // owners — a write to a spot whose owner crashed cannot land until the
 // zone is taken over. A nil fn removes the gate. The filter runs outside
-// the shard locks.
+// the store lock.
 func (s *Store) SetPublishFilter(fn func(region can.Path, number uint64) bool) {
 	s.filter = fn
 }
 
 // emitAll delivers events collected during a locked mutation. It runs
-// with no shard lock held, so sinks may re-enter the store freely.
+// with the store lock released, so sinks may re-enter the store freely.
 func (s *Store) emitAll(evs []Event) {
 	for i := range evs {
 		ev := evs[i]
@@ -446,34 +373,9 @@ func (s *Store) publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 		return 0, err
 	}
 	vcopy := append(landmark.Vector(nil), vec...)
-	oldState, hadOld := s.loadMember(m)
 	s.members.Store(m, &memberState{vector: vcopy, number: num})
-	newShard := s.shardOf(num)
 
-	// Relocation: a republish whose number crossed a shard boundary must
-	// drag the member's entries to the new shard, or member-keyed
-	// operations (which look only in the number's shard) would miss
-	// them. The old entries move silently — the refresh events emitted
-	// on re-insertion below are the externally visible state change.
-	var prevByRegion map[can.Path]*Entry
-	if hadOld && s.shardOf(oldState.number) != newShard {
-		old := s.shards[s.shardOf(oldState.number)]
-		old.mu.Lock()
-		for region, rm := range old.maps {
-			if e, ok := rm.entries[m]; ok {
-				if prevByRegion == nil {
-					prevByRegion = make(map[can.Path]*Entry)
-				}
-				prevByRegion[region] = e
-				delete(rm.entries, m)
-				rm.dirty = true
-			}
-		}
-		old.live.Add(int64(-len(prevByRegion)))
-		old.mu.Unlock()
-	}
-
-	// The publish filter runs before the shard lock: it is caller code
+	// The publish filter runs before the store lock: it is caller code
 	// and must not observe the store mid-mutation.
 	regions := s.regionsOf(m)
 	kept := regions[:0]
@@ -488,23 +390,17 @@ func (s *Store) publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 
 	now := s.env.Clock().Now()
 	events := make([]Event, 0, len(kept))
-	added := 0
-	sh := s.shards[newShard]
-	sh.mu.Lock()
+	s.mu.Lock()
 	for _, region := range kept {
-		rm := sh.maps[region]
+		rm := s.maps[region]
 		if rm == nil {
-			rm = &regionMap{entries: make(map[*can.Member]*Entry)}
-			sh.maps[region] = rm
+			rm = newRegionMap()
+			s.maps[region] = rm
 		}
-		prev, inShard := rm.entries[m]
-		if !inShard {
-			added++
-			if prev = prevByRegion[region]; prev == nil {
-				prev = nil
-			}
+		prev, existed := rm.Get(m)
+		if !existed {
+			s.live++
 		}
-		existed := prev != nil
 		e := &Entry{
 			Member:  m,
 			Host:    m.Host,
@@ -518,16 +414,14 @@ func (s *Store) publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 		for _, opt := range opts {
 			opt(e)
 		}
-		rm.entries[m] = e
-		rm.dirty = true
+		rm.Put(m, e)
 		kind := EventPublished
 		if existed {
 			kind = EventRefreshed
 		}
 		events = append(events, Event{Kind: kind, Region: region, Entry: e})
 	}
-	sh.live.Add(int64(added))
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	s.emitAll(events)
 	if dropped > 0 {
@@ -549,23 +443,20 @@ func (s *Store) PublishMeasured(m *can.Member, opts ...PublishOption) error {
 // publication path). Entries are replaced copy-on-write: snapshots held
 // from earlier lookups keep the load they were taken with.
 func (s *Store) UpdateLoad(m *can.Member, load float64) {
-	st, ok := s.loadMember(m)
-	if !ok {
+	if _, ok := s.loadMember(m); !ok {
 		return
 	}
-	sh := s.shards[s.shardOf(st.number)]
 	var events []Event
-	sh.mu.Lock()
-	for region, rm := range sh.maps {
-		if e, ok := rm.entries[m]; ok {
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		if e, ok := rm.Get(m); ok {
 			ne := *e
 			ne.Load = load
-			rm.entries[m] = &ne
-			rm.dirty = true
+			rm.Put(m, &ne)
 			events = append(events, Event{Kind: EventLoadChanged, Region: region, Entry: &ne})
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	s.emitAll(events)
 	if len(events) > 0 {
 		s.env.CountMessages("publish", len(events))
@@ -574,26 +465,19 @@ func (s *Store) UpdateLoad(m *can.Member, load float64) {
 
 // deleteAll removes every entry describing m from every map, emitting
 // EventRemoved per region and metering the deletions under category.
-// All of m's entries live in the shard of its current number, so one
-// shard lock covers the whole deletion.
 func (s *Store) deleteAll(m *can.Member, category string) int {
-	st, ok := s.loadMember(m)
-	s.members.Delete(m)
-	if !ok {
+	if _, ok := s.members.LoadAndDelete(m); !ok {
 		return 0
 	}
-	sh := s.shards[s.shardOf(st.number)]
 	var events []Event
-	sh.mu.Lock()
-	for region, rm := range sh.maps {
-		if e, ok := rm.entries[m]; ok {
-			delete(rm.entries, m)
-			rm.dirty = true
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		if e, ok := rm.Delete(m); ok {
 			events = append(events, Event{Kind: EventRemoved, Region: region, Entry: e})
 		}
 	}
-	sh.live.Add(int64(-len(events)))
-	sh.mu.Unlock()
+	s.live -= len(events)
+	s.mu.Unlock()
 	s.emitAll(events)
 	if len(events) > 0 {
 		s.env.CountMessages(category, len(events))
@@ -628,29 +512,24 @@ func (s *Store) Purge(m *can.Member) int {
 
 // SweepExpired deletes all entries past their TTL (the periodic-polling
 // maintenance mode) and returns how many were dropped. Instrumented
-// stores also count the drops in softstate_sweep_expired_total. Shards
-// are swept one at a time, so concurrent publishes to other shards never
-// wait on the sweep.
+// stores also count the drops in softstate_sweep_expired_total.
 func (s *Store) SweepExpired() int {
 	now := s.env.Clock().Now()
-	dropped := 0
-	for _, sh := range s.shards {
-		var events []Event
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for m, e := range rm.entries {
-				if e.Expires < now {
-					delete(rm.entries, m)
-					rm.dirty = true
-					events = append(events, Event{Kind: EventExpired, Region: region, Entry: e})
-				}
+	var events []Event
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		rm.DeleteWhere(func(e *Entry) bool {
+			if e.Expires >= now {
+				return false
 			}
-		}
-		sh.live.Add(int64(-len(events)))
-		sh.mu.Unlock()
-		s.emitAll(events)
-		dropped += len(events)
+			events = append(events, Event{Kind: EventExpired, Region: region, Entry: e})
+			return true
+		})
 	}
+	s.live -= len(events)
+	s.mu.Unlock()
+	s.emitAll(events)
+	dropped := len(events)
 	if dropped > 0 && s.metrics != nil {
 		s.metrics.swept.Add(float64(dropped))
 	}
@@ -718,29 +597,19 @@ func (s *Store) OwnersOf(region can.Path, number uint64, k int) []*can.Member {
 // that is what the replicated placement buys.
 func (s *Store) LoseShards(down func(*can.Member) bool, k int) int {
 	lost := 0
-	for _, sh := range s.shards {
-		shardLost := 0
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for m, e := range rm.entries {
-				allDown := true
-				for _, o := range s.OwnersOf(region, e.Number, k) {
-					if !down(o) {
-						allDown = false
-						break
-					}
-				}
-				if allDown {
-					delete(rm.entries, m)
-					rm.dirty = true
-					shardLost++
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		lost += rm.DeleteWhere(func(e *Entry) bool {
+			for _, o := range s.OwnersOf(region, e.Number, k) {
+				if !down(o) {
+					return false
 				}
 			}
-		}
-		sh.live.Add(int64(-shardLost))
-		sh.mu.Unlock()
-		lost += shardLost
+			return true
+		})
 	}
+	s.live -= lost
+	s.mu.Unlock()
 	if lost > 0 && s.metrics != nil {
 		s.metrics.live.Add(float64(-lost))
 	}
@@ -752,43 +621,9 @@ type LookupCost struct {
 	// RouteMessages is the overlay messages to reach the map owner (and
 	// return): modeled as one request plus one reply.
 	RouteMessages int
-	// ExpandHops is the number of additional owner shards visited along
-	// the curve because the first shard is thin.
+	// ExpandHops is the number of additional map owners visited along
+	// the curve because the first owner's part of the map is thin.
 	ExpandHops int
-}
-
-// catPos addresses one entry in the concatenation of per-shard sorted
-// slices: shard ranges are contiguous number ranges, so the
-// concatenation is globally number-sorted.
-type catPos struct{ sh, i int }
-
-// fwdPos normalizes p to the first populated position at or after it
-// (sh == len(slices) marks the back edge).
-func fwdPos(slices [][]*Entry, p catPos) catPos {
-	for p.sh < len(slices) && p.i >= len(slices[p.sh]) {
-		p.sh++
-		p.i = 0
-	}
-	return p
-}
-
-// nextPos advances one entry in concatenated order.
-func nextPos(slices [][]*Entry, p catPos) catPos {
-	p.i++
-	return fwdPos(slices, p)
-}
-
-// prevPos steps one entry back (sh < 0 marks the front edge).
-func prevPos(slices [][]*Entry, p catPos) catPos {
-	p.i--
-	for p.i < 0 {
-		p.sh--
-		if p.sh < 0 {
-			return catPos{sh: -1}
-		}
-		p.i = len(slices[p.sh]) - 1
-	}
-	return p
 }
 
 // Lookup implements Table 1: find up to MaxReturn entries of region's map
@@ -813,41 +648,35 @@ func (s *Store) lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 	cost := LookupCost{RouteMessages: 2} // request + reply
 	s.env.CountMessages("lookup", 2)
 
-	// Snapshot each shard's sorted view of the region under its own
-	// lock; entries are copy-on-write, so the walk below needs no lock.
-	slices := make([][]*Entry, len(s.shards))
-	total := 0
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		if rm := sh.maps[region]; rm != nil {
-			slices[i] = rm.sortedEntries()
-		}
-		sh.mu.Unlock()
-		total += len(slices[i])
+	// Snapshot the region's number-sorted view under the lock; entries
+	// are copy-on-write, so the walk below needs no lock.
+	s.mu.Lock()
+	var view index.View[*Entry]
+	if rm := s.maps[region]; rm != nil {
+		view = rm.View(nil)
 	}
-	if total == 0 {
+	s.mu.Unlock()
+	if view.Len() == 0 {
 		return nil, cost, nil
 	}
 	now := s.env.Clock().Now()
 
-	// Position of our number in the concatenated sorted order: hi is the
-	// first entry with Number >= num, lo the entry just before it.
-	start := s.shardOf(num)
-	sl := slices[start]
-	raw := catPos{sh: start, i: sort.Search(len(sl), func(k int) bool { return sl[k].Number >= num })}
-	hi := fwdPos(slices, raw)
-	lo := prevPos(slices, raw)
-
-	// The shard we landed on plus curve-order expansion: walk outward
-	// gathering live entries; each time the owner of the next entry
-	// differs from the owners already visited, it costs one expand hop.
+	// The owner we landed on plus curve-order expansion: walk outward
+	// from our number gathering live entries; each time the owner of the
+	// next entry differs from the owners already visited, it costs one
+	// expand hop. Gather up to 3*MaxReturn entries so the full-vector
+	// sort has slack to reorder curve neighbors.
 	owners := map[*can.Member]struct{}{}
 	startOwner := s.OwnerOf(region, num)
 	if startOwner != nil {
 		owners[startOwner] = struct{}{}
 	}
+	want := 3 * s.cfg.MaxReturn
 	var gathered []*Entry
-	visit := func(e *Entry) bool {
+	view.Walk(num, func(e *Entry) bool {
+		if len(gathered) >= want {
+			return false
+		}
 		owner := s.OwnerOf(region, e.Number)
 		if _, seen := owners[owner]; !seen {
 			if cost.ExpandHops >= s.cfg.ExpandBudget {
@@ -861,38 +690,7 @@ func (s *Store) lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 			gathered = append(gathered, e)
 		}
 		return true
-	}
-	// Gather up to 3*MaxReturn entries around the index position so the
-	// full-vector sort has slack to reorder curve neighbors.
-	want := 3 * s.cfg.MaxReturn
-	loOK := lo.sh >= 0
-	hiOK := hi.sh < len(slices)
-	for len(gathered) < want && (loOK || hiOK) {
-		// Prefer the side whose number is closer to ours.
-		pickLo := false
-		switch {
-		case !loOK:
-		case !hiOK:
-			pickLo = true
-		default:
-			pickLo = num-slices[lo.sh][lo.i].Number <= slices[hi.sh][hi.i].Number-num
-		}
-		if pickLo {
-			if !visit(slices[lo.sh][lo.i]) {
-				loOK = false
-				continue
-			}
-			lo = prevPos(slices, lo)
-			loOK = lo.sh >= 0
-		} else {
-			if !visit(slices[hi.sh][hi.i]) {
-				hiOK = false
-				continue
-			}
-			hi = nextPos(slices, hi)
-			hiOK = hi.sh < len(slices)
-		}
-	}
+	})
 
 	sort.Slice(gathered, func(a, b int) bool {
 		da := landmark.Distance(gathered[a].Vector, vec)
@@ -912,28 +710,24 @@ func (s *Store) lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 // and returns the per-owner counts (Figure 16's "map entries / node").
 func (s *Store) EntriesPerOwner() map[*can.Member]int {
 	counts := make(map[*can.Member]int)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for _, e := range rm.entries {
-				if owner := s.OwnerOf(region, e.Number); owner != nil {
-					counts[owner]++
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for region, rm := range s.maps {
+		for e := range rm.All {
+			if owner := s.OwnerOf(region, e.Number); owner != nil {
+				counts[owner]++
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return counts
 }
 
 // TotalEntries returns the number of entries across all maps (including
-// any not yet swept). Lock-free: it sums the per-shard atomic counters.
+// any not yet swept).
 func (s *Store) TotalEntries() int {
-	var total int64
-	for _, sh := range s.shards {
-		total += sh.live.Load()
-	}
-	return int(total)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // RegionEntries returns the live entries of one region's map (fresh
@@ -941,16 +735,14 @@ func (s *Store) TotalEntries() int {
 func (s *Store) RegionEntries(region can.Path) []*Entry {
 	now := s.env.Clock().Now()
 	var out []*Entry
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if rm := sh.maps[region]; rm != nil {
-			for _, e := range rm.entries {
-				if e.Expires >= now {
-					out = append(out, e)
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rm := s.maps[region]; rm != nil {
+		for e := range rm.All {
+			if e.Expires >= now {
+				out = append(out, e)
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -962,8 +754,8 @@ func (s *Store) RegionEntries(region can.Path) []*Entry {
 // "publish" per map (what per-entry Publish would cost). EventRefreshed
 // still fires per entry so subscribers and telemetry see every touch.
 // Members behind a publish filter keep their filtered-out regions
-// unrefreshed, exactly as Publish would. Each member's refresh takes
-// only its number's shard lock. Returns how many entries were refreshed.
+// unrefreshed, exactly as Publish would. Returns how many entries were
+// refreshed.
 func (s *Store) RefreshAll() int {
 	now := s.env.Clock().Now()
 	refreshed := 0
@@ -986,24 +778,22 @@ func (s *Store) RefreshAll() int {
 			kept = append(kept, region)
 		}
 		events = events[:0]
-		sh := s.shards[s.shardOf(num)]
-		sh.mu.Lock()
+		s.mu.Lock()
 		for _, region := range kept {
-			rm := sh.maps[region]
+			rm := s.maps[region]
 			if rm == nil {
 				continue
 			}
-			e, ok := rm.entries[m]
+			e, ok := rm.Get(m)
 			if !ok {
 				continue
 			}
 			ne := *e
 			ne.Expires = now + s.cfg.TTL
-			rm.entries[m] = &ne
-			rm.dirty = true
+			rm.Put(m, &ne)
 			events = append(events, Event{Kind: EventRefreshed, Region: region, Entry: &ne})
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		s.emitAll(events)
 		if dropped > 0 {
 			s.env.CountMessages("publish-dropped", dropped)

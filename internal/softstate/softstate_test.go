@@ -1,6 +1,7 @@
 package softstate
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,12 +70,6 @@ func TestConfigValidate(t *testing.T) {
 		{"huge-condense", func(c *Config) { c.CondenseDepth = 33 }, false},
 		{"zero-return", func(c *Config) { c.MaxReturn = 0 }, false},
 		{"negative-expand", func(c *Config) { c.ExpandBudget = -1 }, false},
-		{"zero-shards-defaulted", func(c *Config) { c.Shards = 0 }, true},
-		{"one-shard", func(c *Config) { c.Shards = 1 }, true},
-		{"pow2-shards", func(c *Config) { c.Shards = 64 }, true},
-		{"non-pow2-shards", func(c *Config) { c.Shards = 6 }, false},
-		{"negative-shards", func(c *Config) { c.Shards = -2 }, false},
-		{"huge-shards", func(c *Config) { c.Shards = maxShardCount * 2 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -667,59 +662,152 @@ func TestEndToEndStretchOrdering(t *testing.T) {
 	}
 }
 
-// TestShardEquivalence runs the same workload on a single-lock store and
-// a sharded one: lookups must return the same members in the same order
-// (shard ranges are contiguous, so concatenated order equals global
-// order).
-func TestShardEquivalence(t *testing.T) {
-	cfg1 := DefaultConfig()
-	cfg1.Shards = 1
-	cfg8 := DefaultConfig()
-	cfg8.Shards = 8
-	h1 := newHarness(t, 48, cfg1)
-	h8 := newHarness(t, 48, cfg8)
-	if err := h1.store.PublishAll(nil); err != nil {
-		t.Fatal(err)
+// referenceLookup is Lookup computed the slow way, as the walk is
+// specified rather than as it is implemented: every entry of the region
+// ranked by number distance from num, lower side first on a tie, equal
+// numbers by host ascending above num and descending below it; gathered
+// in that order until 3*MaxReturn are held, a side closing at the first
+// entry whose new owner would exceed the expand budget; then sorted by
+// full-vector distance and cut to MaxReturn.
+func referenceLookup(s *Store, region can.Path, vec landmark.Vector) ([]*Entry, int) {
+	num, err := s.space.Number(vec)
+	if err != nil {
+		panic(err)
 	}
-	if err := h8.store.PublishAll(nil); err != nil {
-		t.Fatal(err)
+	type ranked struct {
+		e    *Entry
+		dist uint64
+		side int // 0 below num, 1 at or above it
 	}
-	if a, b := h1.store.TotalEntries(), h8.store.TotalEntries(); a != b {
-		t.Fatalf("TotalEntries: single-lock %d, sharded %d", a, b)
-	}
-	members := h1.overlay.CAN().Members()
-	for i := 0; i < len(members); i += 5 {
-		m := members[i]
-		vec := h1.store.Vector(m)
-		for _, region := range h1.store.regionsOf(m) {
-			e1, _, err := h1.store.Lookup(region, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e8, _, err := h8.store.Lookup(region, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(e1) != len(e8) {
-				t.Fatalf("region %v: single-lock returned %d, sharded %d", region, len(e1), len(e8))
-			}
-			for j := range e1 {
-				if e1[j].Host != e8[j].Host {
-					t.Fatalf("region %v result %d: single-lock host %d, sharded host %d",
-						region, j, e1[j].Host, e8[j].Host)
-				}
+	s.mu.Lock()
+	var all []ranked
+	if rm := s.maps[region]; rm != nil {
+		for e := range rm.All {
+			if e.Number < num {
+				all = append(all, ranked{e, num - e.Number, 0})
+			} else {
+				all = append(all, ranked{e, e.Number - num, 1})
 			}
 		}
 	}
+	s.mu.Unlock()
+	if len(all) == 0 {
+		return nil, 0
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		if a.side != b.side {
+			return a.side < b.side
+		}
+		if a.side == 0 {
+			return a.e.Host > b.e.Host
+		}
+		return a.e.Host < b.e.Host
+	})
+	now := s.env.Clock().Now()
+	owners := map[*can.Member]bool{s.OwnerOf(region, num): true}
+	hops := 0
+	var closed [2]bool
+	var gathered []*Entry
+	for _, r := range all {
+		if len(gathered) >= 3*s.cfg.MaxReturn {
+			break
+		}
+		if closed[r.side] {
+			continue
+		}
+		if owner := s.OwnerOf(region, r.e.Number); !owners[owner] {
+			if hops >= s.cfg.ExpandBudget {
+				closed[r.side] = true
+				continue
+			}
+			owners[owner] = true
+			hops++
+		}
+		if r.e.Expires >= now {
+			gathered = append(gathered, r.e)
+		}
+	}
+	sort.Slice(gathered, func(a, b int) bool {
+		da := landmark.Distance(gathered[a].Vector, vec)
+		db := landmark.Distance(gathered[b].Vector, vec)
+		if da != db {
+			return da < db
+		}
+		return gathered[a].Host < gathered[b].Host
+	})
+	if len(gathered) > s.cfg.MaxReturn {
+		gathered = gathered[:s.cfg.MaxReturn]
+	}
+	return gathered, hops
 }
 
-// TestShardRelocationOnRepublish republishes a member with a vector
-// landing in a different shard and checks the old shard keeps no stale
-// entries: Remove afterwards must find everything.
-func TestShardRelocationOnRepublish(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 8
-	h := newHarness(t, 16, cfg)
+// TestLookupWalkMatchesReference checks every lookup of a populated,
+// partly expired store against referenceLookup, over configs whose
+// expand budgets do and do not cut walks short.
+func TestLookupWalkMatchesReference(t *testing.T) {
+	for _, cell := range lookupGoldenCells {
+		t.Run(cell.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cell.cfg(&cfg)
+			h := newHarness(t, 64, cfg)
+			members := h.overlay.CAN().Members()
+			if err := h.store.PublishAll(nil); err != nil {
+				t.Fatal(err)
+			}
+			// Refresh a third of the members late so the rest expire
+			// unswept, and move some numbers so equal-distance entries and
+			// stale owners appear on both sides of a query.
+			h.env.Clock().Advance(cfg.TTL / 2)
+			for i, m := range members {
+				if i%3 == 0 {
+					vec := append(landmark.Vector(nil), h.store.Vector(m)...)
+					vec[0] = h.space.MaxRTT() * float64(i%5) / 5
+					if err := h.store.Publish(m, vec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			h.env.Clock().Advance(cfg.TTL/2 + 1)
+			checked := 0
+			for _, m := range members {
+				vec := landmark.Measure(h.env, m.Host, h.space.Set())
+				for _, region := range h.store.regionsOf(m) {
+					got, cost, err := h.store.Lookup(region, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, hops := referenceLookup(h.store, region, vec)
+					if cost.ExpandHops != hops {
+						t.Fatalf("region %v: %d expand hops, reference %d", region, cost.ExpandHops, hops)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("region %v: %d entries, reference %d", region, len(got), len(want))
+					}
+					for j := range got {
+						if got[j] != want[j] {
+							t.Fatalf("region %v result %d: host %d, reference host %d",
+								region, j, got[j].Host, want[j].Host)
+						}
+					}
+					checked += len(got)
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no lookup returned anything")
+			}
+		})
+	}
+}
+
+// TestRepublishMovesEntries republishes a member at a far number and
+// checks its entries moved with it: one per region, carrying the new
+// number and the old capacity, all found by Remove afterwards.
+func TestRepublishMovesEntries(t *testing.T) {
+	h := newHarness(t, 16, DefaultConfig())
 	m := h.overlay.CAN().Members()[0]
 	dims := len(landmark.Measure(h.env, m.Host, h.space.Set()))
 	low := make(landmark.Vector, dims)
@@ -735,23 +823,24 @@ func TestShardRelocationOnRepublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	numHigh, _ := h.store.Number(m)
-	if h.store.shardOf(numLow) == h.store.shardOf(numHigh) {
-		t.Fatalf("test vectors landed in the same shard (%d): numbers %d vs %d",
-			h.store.shardOf(numLow), numLow, numHigh)
+	if numLow == numHigh {
+		t.Fatalf("test vectors share landmark number %d", numLow)
 	}
 	want := len(h.store.regionsOf(m))
 	if got := h.store.TotalEntries(); got != want {
-		t.Fatalf("TotalEntries after relocation = %d, want %d", got, want)
+		t.Fatalf("TotalEntries after republish = %d, want %d", got, want)
 	}
-	// Capacity must survive the move (carried from the old shard's entry).
-	for _, e := range h.store.RegionEntries(h.store.regionsOf(m)[0]) {
-		if e.Member == m && e.Capacity != 4 {
-			t.Fatalf("capacity lost in relocation: %v", e.Capacity)
+	for _, region := range h.store.regionsOf(m) {
+		for _, e := range h.store.RegionEntries(region) {
+			if e.Member == m && (e.Number != numHigh || e.Capacity != 4) {
+				t.Fatalf("region %v: entry number %d capacity %v, want %d and 4",
+					region, e.Number, e.Capacity, numHigh)
+			}
 		}
 	}
 	h.store.Remove(m)
 	if got := h.store.TotalEntries(); got != 0 {
-		t.Fatalf("%d entries survive removal after relocation", got)
+		t.Fatalf("%d entries survive removal after republish", got)
 	}
 }
 
@@ -760,9 +849,7 @@ func TestShardRelocationOnRepublish(t *testing.T) {
 // -race this is the store's concurrency contract test; the final state
 // must also be internally consistent.
 func TestStoreConcurrentHammer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 8
-	h := newHarness(t, 64, cfg)
+	h := newHarness(t, 64, DefaultConfig())
 	s := h.store
 	var eventCount atomic.Int64
 	s.SetEventSink(func(Event) { eventCount.Add(1) })
@@ -818,15 +905,13 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	if eventCount.Load() == 0 {
 		t.Fatal("no events reached the sink")
 	}
-	// Consistency: atomic counters must agree with a full recount.
+	// Consistency: the live counter must agree with a full recount.
 	recount := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, rm := range sh.maps {
-			recount += len(rm.entries)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for _, rm := range s.maps {
+		recount += rm.Len()
 	}
+	s.mu.Unlock()
 	if got := s.TotalEntries(); got != recount {
 		t.Fatalf("TotalEntries = %d, recount = %d", got, recount)
 	}

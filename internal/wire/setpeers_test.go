@@ -71,9 +71,9 @@ func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 	// the new ring.
 	for i, nd := range nodes[:4] {
 		nd.mu.Lock()
-		held := make([]Record, 0, len(nd.records))
-		for _, rec := range nd.records {
-			held = append(held, rec)
+		held := make([]Record, 0, nd.records.Len())
+		for rec := range nd.records.All {
+			held = append(held, *rec)
 		}
 		nd.mu.Unlock()
 		for _, rec := range held {
@@ -89,7 +89,7 @@ func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 		for _, owner := range nodes[0].OwnersOf(rec.Number, nodes[0].Replication()) {
 			j := slices.Index(addrs, owner)
 			nodes[j].mu.Lock()
-			_, ok := nodes[j].records[rec.Addr]
+			_, ok := nodes[j].records.Get(rec.Addr)
 			nodes[j].mu.Unlock()
 			if !ok {
 				t.Fatalf("record of node %d missing on new owner %s", i, owner)
@@ -229,7 +229,7 @@ func TestSetPeersConcurrentHammer(t *testing.T) {
 		}
 		j := slices.Index(addrs, owner)
 		nodes[j].mu.Lock()
-		_, ok := nodes[j].records[rec.Addr]
+		_, ok := nodes[j].records.Get(rec.Addr)
 		nodes[j].mu.Unlock()
 		if !ok {
 			t.Fatalf("settled publish missing on owner %s", owner)
@@ -251,5 +251,33 @@ func TestSetPeersConcurrentHammer(t *testing.T) {
 		if ok {
 			t.Fatalf("node %d kept a breaker for the dropped peer", i)
 		}
+	}
+}
+
+// TestSetPeersDropsQueueForRemovedPeer pins the batch half of a swap's
+// eviction: a record queued for a peer that then leaves the ring must
+// not be flushed to it afterwards, or the flush re-dials the departed
+// peer behind SetPeers' pool eviction and the connection outlives it.
+func TestSetPeersDropsQueueForRemovedPeer(t *testing.T) {
+	nodes := cluster(t, 3, 2, WithBatchWindow(time.Hour))
+	addrs := make([]string, len(nodes))
+	for i, nd := range nodes {
+		addrs[i] = nd.Addr()
+	}
+	gone := addrs[2]
+	rec := Record{Addr: "queued:1", Number: 1, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
+	nodes[0].batch.Enqueue(gone, rec)
+	if _, err := nodes[0].SetPeers(addrs[:2], testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].batch.Flush(testTimeout)
+	if got := nodes[0].tr.Open(gone); got != 0 {
+		t.Fatalf("flush re-dialed the removed peer: %d pooled connections", got)
+	}
+	if got := nodes[2].RecordCount(); got != 0 {
+		t.Fatalf("removed peer received %d queued records after leaving the ring", got)
+	}
+	if nodes[0].batch.Pending() != 0 {
+		t.Fatal("queue for the removed peer survived the flush")
 	}
 }
