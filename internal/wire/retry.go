@@ -165,6 +165,14 @@ func (b *breaker) allow(now time.Time) bool {
 	}
 }
 
+// endCooldown lets the next call through an open breaker as its
+// half-open probe.
+func (b *breaker) endCooldown() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.until = time.Time{}
+}
+
 // success records a completed call and closes the breaker.
 func (b *breaker) success() {
 	b.mu.Lock()

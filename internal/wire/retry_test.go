@@ -165,6 +165,38 @@ func TestNodeBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestMeasureProbesOpenBreakerWithoutFallback pins how a measurement
+// treats a landmark whose breaker is open. Never measured, there is no
+// last RTT to fall back on, so the measurement is the breaker's
+// half-open probe instead of failing fast until the cooldown ends (a
+// burst of timeouts right after boot used to fail every publish for the
+// whole cooldown). Once measured, the open breaker fails fast again and
+// the dimension falls back to the last RTT, flagged stale.
+func TestMeasureProbesOpenBreakerWithoutFallback(t *testing.T) {
+	nodes := cluster(t, 2, 1)
+	n, lm := nodes[1], nodes[0].Addr()
+	trip := func() {
+		for i := 0; i < n.opt.breakerThreshold; i++ {
+			n.breakerFor(lm).failure(time.Now())
+		}
+	}
+	trip()
+	if _, err := n.Publish(1, testTimeout); err != nil {
+		t.Fatalf("publish with a never-measured landmark behind an open breaker: %v", err)
+	}
+	if got := n.breakerFor(lm).snapshot(); got != breakerClosed {
+		t.Fatalf("breaker state %d after a successful probe, want closed", got)
+	}
+	trip()
+	_, stale, err := n.MeasureVectorFull(1, testTimeout)
+	if err != nil || !stale[0] {
+		t.Fatalf("measured landmark behind an open breaker: stale=%v err=%v, want the last RTT", stale, err)
+	}
+	if got := n.breakerFor(lm).snapshot(); got != breakerOpen {
+		t.Fatalf("breaker state %d after a fallback, want still open", got)
+	}
+}
+
 func TestRetriesMetricCounted(t *testing.T) {
 	nodes := cluster(t, 2, 1)
 	n := nodes[0]
